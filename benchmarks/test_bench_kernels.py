@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.api.registry import SOLVERS
-from repro.kernels.backends import numba_available, resolve_backend
+from repro.kernels.backends import resolve_backend
 from repro.matrices.random_gen import random_matrix
 from repro.tiles.tile_matrix import TileMatrix
 
@@ -63,11 +63,8 @@ def _time_sweep(a: np.ndarray, nb: int, run, reference: np.ndarray) -> float:
 def test_trailing_sweep_fused_speedup(bench_record):
     a = random_matrix(_SWEEP_ORDER, seed=20140401)
     fused = resolve_backend("fused")
-    jit = resolve_backend("jit")
-    jit.warm(16)
-    jit.warm(32)
 
-    payload = {"order": _SWEEP_ORDER, "numba_available": numba_available()}
+    payload = {"order": _SWEEP_ORDER}
     speedups = {}
     for nb in (16, 32):
         ref_tiles = TileMatrix.from_dense(a.copy(), nb)
@@ -78,19 +75,15 @@ def test_trailing_sweep_fused_speedup(bench_record):
         t_fused = _time_sweep(
             a, nb, lambda t: _sweep_backend(t, 0, fused), reference
         )
-        t_jit = _time_sweep(a, nb, lambda t: _sweep_backend(t, 0, jit), reference)
         speedups[nb] = t_numpy / t_fused
         payload[f"nb{nb}"] = {
             "numpy_s": t_numpy,
             "fused_s": t_fused,
-            "jit_s": t_jit,
             "fused_speedup": t_numpy / t_fused,
-            "jit_speedup": t_numpy / t_jit,
         }
         print(
             f"sweep n={_SWEEP_ORDER} nb={nb}: numpy {t_numpy*1e3:.2f}ms, "
-            f"fused {t_fused*1e3:.2f}ms ({t_numpy/t_fused:.2f}x), "
-            f"jit {t_jit*1e3:.2f}ms ({t_numpy/t_jit:.2f}x)"
+            f"fused {t_fused*1e3:.2f}ms ({t_numpy/t_fused:.2f}x)"
         )
     bench_record("kernels", {"benchmark": "trailing_sweep", **payload})
 
@@ -111,8 +104,7 @@ def test_solver_backend_comparison(algorithm, bench_config, bench_record):
 
     times = {}
     reference = None
-    for backend in ("numpy", "fused", "jit"):
-        resolve_backend(backend).warm(nb)
+    for backend in ("numpy", "fused"):
         best = float("inf")
         for _ in range(max(2, bench_config.samples)):
             solver = cls(tile_size=nb, track_growth=False, kernel_backend=backend)
@@ -134,7 +126,6 @@ def test_solver_backend_comparison(algorithm, bench_config, bench_record):
             "algorithm": algorithm,
             "n": n,
             "nb": nb,
-            "numba_available": numba_available(),
             **{f"{b}_s": t for b, t in times.items()},
             "fused_speedup": times["numpy"] / times["fused"],
         },

@@ -315,14 +315,6 @@ def _lint_kernel_backends() -> Tuple[List[Violation], int]:
                         subject=name,
                     )
                 )
-        if not callable(getattr(backend, "warm", None)):
-            violations.append(
-                Violation(
-                    kind="backend-protocol",
-                    message=f"kernel backend {name!r} has no callable warm()",
-                    subject=name,
-                )
-            )
         if backend.fuses:
             for method in sweep_methods:
                 if getattr(type(backend), method, None) is getattr(

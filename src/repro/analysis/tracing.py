@@ -278,9 +278,6 @@ class TracingBackend(KernelBackend):
         # the compute backend's name, not ours.
         return self.inner.descriptor_name
 
-    def warm(self, nb: int, dtype: Any = np.float64) -> None:
-        self.inner.warm(nb, dtype)
-
     def reset(self) -> None:
         """Drop all recorded accesses and reports (new factorization)."""
         self.recorder = AccessRecorder()

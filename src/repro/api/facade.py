@@ -96,7 +96,7 @@ class SolverSpec:
 
     ``kernel_backend`` selects how tile-kernel sweeps execute (a
     :data:`~repro.api.registry.KERNEL_BACKENDS` name such as ``"numpy"``,
-    ``"fused"`` or ``"jit"``, or a ready backend instance); ``None`` keeps
+    ``"fused"``, or a ready backend instance); ``None`` keeps
     the bit-exact per-tile reference.
 
     ``tile_size``, ``executor`` and ``kernel_backend`` additionally accept

@@ -64,8 +64,6 @@ class HybridLUQRSolver(TiledSolverBase):
     domain_pivoting:
         Search LU pivots across the whole diagonal domain (True, the
         paper's experimental variant) or only inside the diagonal tile.
-    recursive_panel:
-        Use the recursive panel LU kernel for the domain factorization.
     executor:
         Optional dataflow executor for the numerical kernels; the per-step
         decision stays sequential but the selected branch's kernels fan
@@ -93,7 +91,6 @@ class HybridLUQRSolver(TiledSolverBase):
         intra_tree: Optional[ReductionTree] = None,
         inter_tree: Optional[ReductionTree] = None,
         domain_pivoting: bool = True,
-        recursive_panel: bool = True,
         track_growth: bool = True,
         executor: Optional[Executor] = None,
         lookahead: int = 1,
@@ -111,7 +108,6 @@ class HybridLUQRSolver(TiledSolverBase):
         self.intra_tree = intra_tree if intra_tree is not None else GreedyTree()
         self.inter_tree = inter_tree if inter_tree is not None else FibonacciTree()
         self.domain_pivoting = bool(domain_pivoting)
-        self.recursive_panel = bool(recursive_panel)
 
     # ------------------------------------------------------------------ #
     # TiledSolverBase hooks
@@ -135,13 +131,7 @@ class HybridLUQRSolver(TiledSolverBase):
         # performance model exactly like the real implementation.
         record.add_kernel("panel_backup")
 
-        analysis = analyze_panel(
-            tiles,
-            dist,
-            k,
-            domain_pivoting=self.domain_pivoting,
-            recursive_panel=self.recursive_panel,
-        )
+        analysis = analyze_panel(tiles, dist, k, domain_pivoting=self.domain_pivoting)
         record.add_kernel("criterion_allreduce")
         record.domain_rows = analysis.domain_rows
 

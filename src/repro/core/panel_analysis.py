@@ -56,7 +56,6 @@ def analyze_panel(
     dist: BlockCyclicDistribution,
     k: int,
     domain_pivoting: bool = True,
-    recursive_panel: bool = True,
 ) -> PanelAnalysis:
     """Factor the diagonal domain of panel ``k`` and build the criterion input.
 
@@ -72,8 +71,6 @@ def analyze_panel(
         When True (the paper's experimental variant), the pivot search spans
         every panel tile of the diagonal domain; when False only the
         diagonal tile is factored (the plain A1 variant).
-    recursive_panel:
-        Use the recursive panel LU (PLASMA-style) rather than right-looking.
     """
     nb = tiles.nb
     n = tiles.n
@@ -100,7 +97,7 @@ def analyze_panel(
     # An exactly singular domain cannot be factored; the criteria then see a
     # zero pivot scale and the hybrid driver falls back to a QR step.
     try:
-        factor = factor_panel_lu(local_panel, nb, recursive=recursive_panel)
+        factor = factor_panel_lu(local_panel, nb)
     except SingularPanelError:
         factor = None
 

@@ -125,7 +125,7 @@ class TiledSolverBase(ABC):
         flushes dependency-closed task sets).
     kernel_backend:
         Kernel-execution backend (a registry name such as ``"numpy"``,
-        ``"fused"`` or ``"jit"``, or a ready
+        ``"fused"``, or a ready
         :class:`~repro.kernels.backends.KernelBackend` instance).  The
         default ``None`` keeps the bit-exact per-tile ``numpy`` reference;
         fusing backends batch each trailing column's update sweep into one
@@ -276,9 +276,6 @@ class TiledSolverBase(ABC):
         self, a: np.ndarray, b: Optional[np.ndarray]
     ) -> Factorization:
         a_work, b_work, pad = pad_to_tile_multiple(a, b, self.tile_size)
-        # Prime any compiled kernels before the factorization starts, so
-        # first-call JIT compilation never lands inside a timed run.
-        self.kernel_backend.warm(self.tile_size, a_work.dtype)
         # A multi-process executor needs the tiles in shared memory so its
         # workers see (and mutate) the same bytes; the factors are copied
         # back out below so the returned Factorization owns plain arrays.

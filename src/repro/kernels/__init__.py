@@ -1,13 +1,11 @@
 """Tile kernels (LU and QR), their flop model (Table I), the picklable
 kernel-descriptor dispatch table used by the multi-process executor, and
-the pluggable kernel backends (per-tile reference, fused, JIT)."""
+the pluggable kernel backends (per-tile reference, fused)."""
 
 from .backends import (
     FusedBackend,
-    JitBackend,
     KernelBackend,
     NumpyBackend,
-    numba_available,
     resolve_backend,
 )
 from .dispatch import KERNELS, KernelCall, execute_kernel_call
@@ -39,9 +37,7 @@ __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "FusedBackend",
-    "JitBackend",
     "resolve_backend",
-    "numba_available",
     "KernelFlops",
     "kernel_flops",
     "lu_step_flops",

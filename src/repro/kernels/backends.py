@@ -1,4 +1,4 @@
-"""Pluggable kernel-execution backends (per-tile reference, fused, JIT).
+"""Pluggable kernel-execution backends (per-tile reference, fused).
 
 The hot path of every tiled factorization is the trailing-update sweep:
 after the panel of step ``k`` is factored, every trailing column receives
@@ -23,28 +23,18 @@ to batch that sweep:
     differ from the per-tile reference in the last bits, which is why
     non-NumPy backends are validated to error *tolerance*, not bitwise).
 
-``jit``
-    Same fusion plan as ``fused`` with the stacked-GEMM inner loop
-    compiled by Numba's ``@njit`` when numba is importable; compiled
-    kernels are cached per dtype and warmed via :meth:`KernelBackend.warm`
-    outside every timed window (calibration, benchmarks).  Without numba
-    the backend silently degrades to the NumPy-fused implementation, so it
-    is always safe to request.
-
 Backends register into :data:`~repro.api.registry.KERNEL_BACKENDS` with
 ``@register_kernel_backend`` exactly like solvers and executors; unknown
 names raise a :class:`ValueError` listing the available options.  Fused
 tasks ship across process boundaries as generic ``fused.*``
 :class:`~repro.kernels.dispatch.KernelCall` descriptors that carry the
-backend *name* and re-resolve it worker-side, so all three executors
-(inline, threaded, processes) honor the same fusion plan.
+backend *name* and re-resolve it worker-side, so every executor
+(inline, threaded, processes, cluster) honors the same fusion plan.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Any, Dict, Sequence
 
 from ..api.registry import KERNEL_BACKENDS, register_kernel_backend
 from .dispatch import _RHS, OpEffect, _ssssm_pair, kernel_op, kernel_signature
@@ -54,19 +44,8 @@ __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "FusedBackend",
-    "JitBackend",
     "resolve_backend",
-    "numba_available",
 ]
-
-
-def numba_available() -> bool:
-    """True when numba can be imported (the ``jit`` backend compiles)."""
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        return False
-    return True
 
 
 # --------------------------------------------------------------------------- #
@@ -100,14 +79,6 @@ class KernelBackend:
         shipping the wrapper's own name would be wrong twice over.
         """
         return self.name
-
-    def warm(self, nb: int, dtype: Any = np.float64) -> None:
-        """Prime any compiled kernels for ``(nb, dtype)``.
-
-        Called by solvers and the calibration harness *before* their timed
-        windows so first-call compilation can never poison cost tables or
-        benchmarks.  The base implementation is a no-op.
-        """
 
     # ------------------------------------------------------------------ #
     # Instrumentation hooks (no-ops for compute backends)
@@ -242,92 +213,11 @@ class FusedBackend(KernelBackend):
             tiles.rhs_tile(i)[...] = bottom
 
 
-#: Lazily compiled numba kernels, shared by every JitBackend instance in
-#: the process (compilation is expensive; the functions are stateless).
-_NUMBA_CACHE: Dict[str, Any] = {"kernels": None, "tried": False}
-
-
-def _numba_kernels() -> Optional[Dict[str, Any]]:
-    if _NUMBA_CACHE["tried"]:
-        return _NUMBA_CACHE["kernels"]
-    _NUMBA_CACHE["tried"] = True
-    try:
-        import numba
-    except Exception:
-        return None
-
-    @numba.njit(cache=True, fastmath=False)
-    def gemm_update(c, lpanel, u):
-        return c - lpanel @ u
-
-    _NUMBA_CACHE["kernels"] = {"gemm_update": gemm_update}
-    return _NUMBA_CACHE["kernels"]
-
-
-@register_kernel_backend("jit", aliases=("numba",))
-class JitBackend(FusedBackend):
-    """Numba-compiled fused sweeps with a NumPy-fused fallback.
-
-    When numba is importable the stacked trailing-update GEMM runs inside
-    an ``@njit``-compiled kernel (block views are row-strided, so operands
-    are made contiguous first — the copy is amortized over the whole
-    sweep).  :meth:`warm` triggers compilation once per ``(nb, dtype)``
-    outside any timed window.  Without numba every method falls back to
-    the :class:`FusedBackend` implementation, so requesting ``jit`` never
-    fails — it just does not compile.
-    """
-
-    name = "jit"
-    fuses = True
-
-    def __init__(self) -> None:
-        self._compiled = _numba_kernels()
-        self._warmed: Set[Tuple[int, str]] = set()
-
-    @property
-    def jit_active(self) -> bool:
-        """True when numba compiled kernels back this instance."""
-        return self._compiled is not None
-
-    def warm(self, nb: int, dtype: Any = np.float64) -> None:
-        if self._compiled is None:
-            return
-        nb = max(int(nb), 1)
-        key = (nb, np.dtype(dtype).str)
-        if key in self._warmed:
-            return
-        c = np.zeros((2 * nb, nb), dtype=dtype)
-        lpanel = np.zeros((2 * nb, nb), dtype=dtype)
-        u = np.zeros((nb, nb), dtype=dtype)
-        self._compiled["gemm_update"](c, lpanel, u)
-        self._warmed.add(key)
-
-    def lu_gemm_sweep(self, tiles, k: int, j: int, i0: int, i1: int) -> None:
-        if self._compiled is None:
-            return super().lu_gemm_sweep(tiles, k, j, i0, i1)
-        c = tiles.block(i0, i1, j, j + 1)
-        c[...] = self._compiled["gemm_update"](
-            np.ascontiguousarray(c),
-            np.ascontiguousarray(tiles.block(i0, i1, k, k + 1)),
-            np.ascontiguousarray(tiles.tile(k, j)),
-        )
-
-    def lu_gemm_rhs_sweep(self, tiles, k: int, i0: int, i1: int) -> None:
-        if self._compiled is None:
-            return super().lu_gemm_rhs_sweep(tiles, k, i0, i1)
-        c = tiles.rhs_block(i0, i1)
-        c[...] = self._compiled["gemm_update"](
-            np.ascontiguousarray(c),
-            np.ascontiguousarray(tiles.block(i0, i1, k, k + 1)),
-            np.ascontiguousarray(tiles.rhs_tile(k)),
-        )
-
-
 # --------------------------------------------------------------------------- #
 # Resolution
 # --------------------------------------------------------------------------- #
-#: Shared instances per registry name, so the JIT compile/warm caches are
-#: process-wide and worker-side descriptor resolution is cheap.
+#: Shared instances per registry name, so worker-side descriptor
+#: resolution is cheap.
 _SINGLETONS: Dict[str, KernelBackend] = {}
 
 

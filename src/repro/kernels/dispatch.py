@@ -43,7 +43,7 @@ import numpy as np
 from ..tiles.shared_buffer import SharedBufferMeta, SharedTileBuffer
 from ..tiles.tile_matrix import TileMatrix
 from .lu_kernels import apply_swptrsm, eliminate_trsm, factor_panel_lu, factor_tile_lu
-from .qr_kernels import geqrt_tile, tsmqr, tsqrt, ttqrt, unmqr
+from .qr_kernels import geqrt_tile, qr_factor_nbytes, tsmqr, tsqrt, ttqrt, unmqr
 
 __all__ = [
     "KernelCall",
@@ -221,7 +221,7 @@ def _incpiv_swptrsm_rhs(tiles: TileMatrix, inputs, k) -> None:
 def _incpiv_tstrf(tiles: TileMatrix, inputs, k, i):
     nb = tiles.nb
     stacked = np.vstack([np.triu(tiles.tile(k, k)), tiles.tile(i, k)])
-    pair = factor_panel_lu(stacked, nb, recursive=False)
+    pair = factor_panel_lu(stacked, nb)
     tiles.set_tile(k, k, np.triu(pair.lu[:nb]))
     tiles.set_tile(i, k, pair.lu[nb:])
     return pair
@@ -450,7 +450,7 @@ def _sig_qr_geqrt(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
         writes=frozenset({(row, k)}),
         checks=(("matmul", ("lit", ctx.nb, ctx.nb), (row, k), (row, k)),),
         owner_tile=(row, k),
-        product_bytes=3 * ctx.nb * ctx.nb * ctx.itemsize,
+        product_bytes=qr_factor_nbytes(ctx.nb, ctx.itemsize),
     )
 
 
@@ -488,7 +488,7 @@ def _sig_qr_couple(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
             ("matmul", ("lit", 2 * ctx.nb, 2 * ctx.nb), ("stack", pair), ("stack", pair)),
         ),
         owner_tile=(killed, k),
-        product_bytes=4 * ctx.nb * ctx.nb * ctx.itemsize,
+        product_bytes=qr_factor_nbytes(ctx.nb, ctx.itemsize),
     )
 
 

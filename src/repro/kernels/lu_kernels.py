@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from ..linalg.pivoting import apply_row_pivots, getrf, recursive_getrf
+from ..linalg.pivoting import apply_row_pivots, getrf
 from ..linalg.triangular import trsm_lower_left_unit, trsm_upper_right
 
 __all__ = [
@@ -76,7 +76,7 @@ def factor_tile_lu(tile: np.ndarray) -> LUPanelFactor:
     return LUPanelFactor(lu=lu, piv=piv, nb=tile.shape[0])
 
 
-def factor_panel_lu(stacked: np.ndarray, nb: int, recursive: bool = True) -> LUPanelFactor:
+def factor_panel_lu(stacked: np.ndarray, nb: int) -> LUPanelFactor:
     """Factor kernel on the stacked diagonal *domain* (the experimental variant).
 
     ``stacked`` is the vertical concatenation of all panel tiles owned by
@@ -85,15 +85,12 @@ def factor_panel_lu(stacked: np.ndarray, nb: int, recursive: bool = True) -> LUP
     value of the factored region and therefore increases the likelihood of
     an LU step" (Section II-A), without any inter-node communication.
 
-    The recursive variant mirrors PLASMA's multi-threaded recursive-LU
-    panel kernel used in the paper's implementation (Section IV).
+    LAPACK ``?getrf`` factors the panel recursively, as PLASMA's recursive
+    LU panel kernel in the paper's implementation does (Section IV).
     """
     if stacked.shape[1] != nb:
         raise ValueError(f"stacked panel must have {nb} columns, got {stacked.shape[1]}")
-    if recursive:
-        lu, piv = recursive_getrf(stacked)
-    else:
-        lu, piv = getrf(stacked)
+    lu, piv = getrf(stacked)
     return LUPanelFactor(lu=lu, piv=piv, nb=nb)
 
 

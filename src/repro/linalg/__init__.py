@@ -1,6 +1,6 @@
-"""Dense linear-algebra substrate: Householder QR, pivoted LU, norm estimation."""
+"""Dense linear-algebra substrate: LAPACK calls, pivoted LU, norm estimation."""
 
-from .householder import apply_q, apply_q_transpose, build_q, geqrt, house, larft
+from .lapack import lapack_call
 from .norm_est import (
     hager_norm1_estimate,
     inverse_norm1_estimate,
@@ -13,7 +13,6 @@ from .pivoting import (
     getrf,
     getrf_nopiv,
     pivots_to_permutation,
-    recursive_getrf,
 )
 from .triangular import (
     tiled_back_substitution,
@@ -23,15 +22,9 @@ from .triangular import (
 )
 
 __all__ = [
-    "house",
-    "geqrt",
-    "larft",
-    "apply_q",
-    "apply_q_transpose",
-    "build_q",
+    "lapack_call",
     "getrf",
     "getrf_nopiv",
-    "recursive_getrf",
     "apply_row_pivots",
     "pivots_to_permutation",
     "SingularPanelError",

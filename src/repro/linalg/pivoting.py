@@ -1,21 +1,19 @@
 """LU factorizations with partial pivoting — the substrate of the LU kernels.
 
 The paper's LU step factors the *diagonal domain* (the panel tiles local to
-the node owning the diagonal tile) with LU and partial pivoting, using the
-multi-threaded *recursive* LU kernel of PLASMA to enlarge the pivot search
-space while keeping efficiency (Section IV, "LU ON PANEL").  This module
-provides:
+the node owning the diagonal tile) with LU and partial pivoting, using
+PLASMA's recursive LU panel kernel to enlarge the pivot search space while
+keeping efficiency (Section IV, "LU ON PANEL").  This module provides:
 
-* :func:`getrf` — right-looking LU with partial pivoting of a rectangular
-  ``m``-by-``k`` matrix (LAPACK ``dgetrf`` on a tall panel),
+* :func:`getrf` — LU with partial pivoting of a rectangular ``m``-by-``k``
+  panel: LAPACK ``?getrf`` (itself recursive, ``?getrf2``),
 * :func:`getrf_nopiv` — LU without pivoting (used by the LU NoPiv baseline),
-* :func:`recursive_getrf` — recursive (cache-oblivious) LU with partial
-  pivoting, the pure-Python analogue of PLASMA's recursive panel kernel,
-* :func:`apply_row_pivots` / :func:`pivots_to_permutation` — helpers to apply
-  the pivot sequence to trailing columns, as SWPTRSM does.
+* :func:`apply_row_pivots` (LAPACK ``?laswp``) / :func:`pivots_to_permutation`
+  — helpers to apply the pivot sequence to trailing columns, as SWPTRSM does.
 
-All routines return the pivot sequence in LAPACK convention: ``piv[i] = p``
-means that row ``i`` was swapped with row ``p`` at elimination step ``i``.
+All routines return the pivot sequence in LAPACK convention (0-based):
+``piv[i] = p`` means that row ``i`` was swapped with row ``p`` at elimination
+step ``i``.
 """
 
 from __future__ import annotations
@@ -23,11 +21,13 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
+
+from .lapack import lapack_call
 
 __all__ = [
     "getrf",
     "getrf_nopiv",
-    "recursive_getrf",
     "apply_row_pivots",
     "pivots_to_permutation",
     "SingularPanelError",
@@ -48,33 +48,22 @@ class SingularPanelError(RuntimeError):
 def getrf(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """LU with partial pivoting of an ``m``-by-``k`` matrix (``m >= k``).
 
-    The factorization is performed in place on a copy: on return the
-    strictly-lower part of the leading ``k`` columns holds ``L`` (unit
-    diagonal implicit) and the upper triangle of the top ``k`` rows holds
-    ``U``, exactly as LAPACK's ``dgetrf`` stores them.
+    LAPACK ``?getrf`` on a copy: on return the strictly-lower part of the
+    leading ``k`` columns holds ``L`` (unit diagonal implicit) and the upper
+    triangle of the top ``k`` rows holds ``U``.  Raises
+    :class:`SingularPanelError` naming the first column whose pivot is
+    exactly zero.
 
     Returns ``(lu, piv)``.
     """
-    a = np.array(a, dtype=np.float64, copy=True)
+    a = np.asarray(a)
     m, k = a.shape
     if m < k:
         raise ValueError(f"getrf requires m >= k, got shape {a.shape}")
-    piv = np.arange(k, dtype=np.int64)
-
-    for j in range(k):
-        # Pivot search over the remaining rows of column j.
-        p = j + int(np.argmax(np.abs(a[j:, j])))
-        piv[j] = p
-        if a[p, j] == 0.0:
-            raise SingularPanelError(f"zero pivot encountered at column {j}")
-        if p != j:
-            a[[j, p], :] = a[[p, j], :]
-        # Eliminate below the pivot.
-        if j + 1 < m:
-            a[j + 1 :, j] /= a[j, j]
-            if j + 1 < k:
-                a[j + 1 :, j + 1 :] -= np.outer(a[j + 1 :, j], a[j, j + 1 :])
-    return a, piv
+    lu, piv, info = lapack_call("getrf", a)
+    if info > 0:
+        raise SingularPanelError(f"zero pivot encountered at column {info - 1}")
+    return lu, piv.astype(np.int64)
 
 
 def getrf_nopiv(a: np.ndarray) -> np.ndarray:
@@ -95,81 +84,15 @@ def getrf_nopiv(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def recursive_getrf(a: np.ndarray, threshold: int = 16) -> Tuple[np.ndarray, np.ndarray]:
-    """Recursive LU with partial pivoting of an ``m``-by-``k`` panel.
-
-    This mirrors the recursive-LU panel kernel of PLASMA [Dongarra et al.
-    2013] used by the paper: the panel is split column-wise in halves, the
-    left half is factored recursively, its transformations are applied to
-    the right half, and the right half is factored recursively in turn.
-    The recursion bottoms out on :func:`getrf` below ``threshold`` columns.
-
-    Returns ``(lu, piv)`` with the same storage convention as :func:`getrf`.
-    """
-    a = np.array(a, dtype=np.float64, copy=True)
-    m, k = a.shape
-    if m < k:
-        raise ValueError(f"recursive_getrf requires m >= k, got shape {a.shape}")
-
-    piv = np.arange(k, dtype=np.int64)
-    _recursive_getrf_inplace(a, piv, 0, k, threshold)
-    return a, piv
-
-
-def _recursive_getrf_inplace(
-    a: np.ndarray, piv: np.ndarray, col0: int, ncols: int, threshold: int
-) -> None:
-    """Factor columns ``[col0, col0+ncols)`` of ``a`` in place, rows ``col0:``."""
-    if ncols <= threshold:
-        sub = a[col0:, col0 : col0 + ncols]
-        lu, sub_piv = getrf(sub)
-        sub[...] = lu
-        piv[col0 : col0 + ncols] = sub_piv + col0
-        # Apply the swaps to the columns left of the block (they belong to
-        # already-factored L and must follow their rows).
-        for j_local, p in enumerate(sub_piv):
-            j = col0 + j_local
-            p_global = col0 + int(p)
-            if p_global != j and col0 > 0:
-                a[[j, p_global], :col0] = a[[p_global, j], :col0]
-        return
-
-    half = ncols // 2
-    # Factor the left half.
-    _recursive_getrf_inplace(a, piv, col0, half, threshold)
-    mid = col0 + half
-    end = col0 + ncols
-
-    # Apply the left half's pivots to the right half.
-    for j in range(col0, mid):
-        p = int(piv[j])
-        if p != j:
-            a[[j, p], mid:end] = a[[p, j], mid:end]
-
-    # Triangular solve: A12 <- L11^{-1} A12 (L11 unit lower triangular).
-    l11 = np.tril(a[col0:mid, col0:mid], k=-1) + np.eye(half)
-    a[col0:mid, mid:end] = np.linalg.solve(l11, a[col0:mid, mid:end])
-
-    # Schur update of the lower-right block.
-    a[mid:, mid:end] -= a[mid:, col0:mid] @ a[col0:mid, mid:end]
-
-    # Factor the right half.  (Its base cases apply their row swaps to every
-    # column on their left — including the left half factored above — so no
-    # further fix-up of the L columns is needed here.)
-    _recursive_getrf_inplace(a, piv, mid, ncols - half, threshold)
-
-
 def apply_row_pivots(c: np.ndarray, piv: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Apply a LAPACK-style pivot sequence to the rows of ``c`` (in place).
 
-    With ``inverse=True`` the swaps are undone (applied in reverse order).
+    One ``?laswp`` call.  With ``inverse=True`` the swaps are undone (applied in reverse order).
     Returns ``c`` for convenience.
     """
-    indices = range(len(piv) - 1, -1, -1) if inverse else range(len(piv))
-    for j in indices:
-        p = int(piv[j])
-        if p != j:
-            c[[j, p], :] = c[[p, j], :]
+    if len(piv):
+        (laswp,) = get_lapack_funcs(("laswp",), (c,))
+        c[...] = laswp(c, np.asarray(piv, dtype=np.int32), inc=-1 if inverse else 1)
     return c
 
 

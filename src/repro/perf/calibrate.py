@@ -60,8 +60,10 @@ __all__ = [
 CALIBRATION_ENV = "REPRO_CALIBRATION"
 
 #: Version 2 added per-kernel-backend cost tables (the ``backends`` key);
-#: version-1 files load unchanged (their table is the ``numpy`` reference).
-_FORMAT_VERSION = 2
+#: version 3 marks tables timed on the LAPACK tile kernels.  Older files
+#: priced QR kernels ~10x too high, so they are rejected (and
+#: :func:`default_calibration` falls back to the static cost models).
+_FORMAT_VERSION = 3
 
 
 def calibration_path() -> Path:
@@ -131,7 +133,7 @@ class Calibration:
 
     ``kernels`` is the cost table of the ``numpy`` reference backend;
     ``backends`` holds one additional table per non-reference kernel
-    backend (``"fused"``, ``"jit"``, ...).  Lookups for a backend fall
+    backend (``"fused"``, ...).  Lookups for a backend fall
     back to the reference table for kernels that backend has no samples
     of, so a partially calibrated backend stays usable.
     """
@@ -287,10 +289,10 @@ class Calibration:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Calibration":
-        # Version 1 is version 2 without per-backend tables; anything newer
-        # (or unversioned) is rejected rather than silently misread.
+        # Any other version (older kernels, or unversioned) is rejected
+        # rather than silently misread.
         version = int(data.get("version", 0))
-        if version not in (1, _FORMAT_VERSION):
+        if version != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported calibration format version {data.get('version')!r}"
             )
@@ -419,11 +421,9 @@ def run_calibration(
     is an uncontended single-core measurement — exactly the per-core cost
     the simulator and the priority scheduler want.
 
-    ``kernel_backends`` names the kernel backends to measure; each is
-    warmed (triggering any JIT compilation) *before* its timed
-    factorizations, so first-call compile time never leaks into the cost
-    tables.  Non-reference backends land in per-backend tables the
-    autotuner compares when picking ``kernel_backend="auto"``.
+    ``kernel_backends`` names the kernel backends to measure.
+    Non-reference backends land in per-backend tables the autotuner
+    compares when picking ``kernel_backend="auto"``.
     """
     import numpy as np
 
@@ -437,11 +437,6 @@ def run_calibration(
     calibration = Calibration(host=socket.gethostname())
     for backend_name in kernel_backends:
         backend = resolve_backend(backend_name)
-        # Compile-time firewall: prime the backend for every tile size
-        # outside the timed window (satellite requirement — JIT compile
-        # time must never poison the calibration).
-        for nb in tile_sizes:
-            backend.warm(int(nb), a.dtype)
         for nb in tile_sizes:
             for algorithm in algorithms:
                 solver = make_solver(

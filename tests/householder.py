@@ -1,26 +1,25 @@
-"""Compact-WY Householder QR — the substrate of the tiled QR kernels.
+"""Compact-WY Householder QR in plain numpy — a test oracle for the QR kernels.
 
-The PLASMA/DPLASMA tile kernels used by the paper (GEQRT, TSQRT, TSMQR,
-TTQRT, TTMQR, UNMQR) are all built on blocked Householder reflections in
-compact-WY form: a factorization step produces a unit-lower-trapezoidal
-matrix ``V`` of reflector vectors and an upper-triangular matrix ``T`` such
-that
+The tile kernels in :mod:`repro.kernels.qr_kernels` call LAPACK
+(``?geqrt``/``?tpqrt``/``?gemqrt``/``?tpmqrt``).  This module is an
+independent from-scratch implementation of the same blocked Householder
+machinery, kept for the tests: a factorization step produces a
+unit-lower-trapezoidal matrix ``V`` of reflector vectors and an
+upper-triangular matrix ``T`` such that
 
     Q = I - V T V^T .
 
-This module implements that machinery from scratch on top of numpy:
-
 * :func:`house` — a single Householder reflector (LAPACK ``dlarfg``),
-* :func:`geqrt` — blocked QR of a rectangular matrix returning ``(V, T, R)``
-  (LAPACK ``dgeqrt``),
+* :func:`geqrt` — QR of a rectangular matrix returning ``(V, T, R)``
+  (LAPACK ``dgeqrt`` with one inner block),
 * :func:`larft` — build the triangular factor ``T`` from reflectors
   (LAPACK ``dlarft``, forward/columnwise),
 * :func:`apply_q_transpose` / :func:`apply_q` — apply ``Q^T`` or ``Q`` to a
-  matrix using the compact-WY form (LAPACK ``dlarfb``).
+  matrix using the compact-WY form (LAPACK ``dlarfb``),
+* :func:`build_q` — the explicit ``Q``.
 
-These routines are written for clarity and tested against
-``numpy.linalg.qr``; the tile kernels in :mod:`repro.kernels.qr_kernels`
-use them for every orthogonal transformation.
+Both this oracle and LAPACK follow the ``dlarfg`` sign convention, so their
+``R`` factors agree up to rounding.
 """
 
 from __future__ import annotations

@@ -190,8 +190,8 @@ class TestMakeSolver:
         )
         assert solver.domain_pivoting is False
         # options may also ride on the algorithm spec itself
-        solver = make_solver(algorithm="hybrid(recursive_panel=False)", tile_size=8)
-        assert solver.recursive_panel is False
+        solver = make_solver(algorithm="hybrid(domain_pivoting=False)", tile_size=8)
+        assert solver.domain_pivoting is False
 
     def test_criterion_on_baseline_rejected(self):
         with pytest.raises(ValueError, match="does not accept a criterion"):

@@ -159,6 +159,15 @@ def test_corrupt_calibration_degrades_to_none(isolated_calibration):
     assert default_calibration() is None
 
 
+def test_pre_lapack_calibration_is_ignored(isolated_calibration):
+    """A v2 file holds QR costs timed on the old Python kernels: the
+    default lookup drops it (static cost models) instead of raising."""
+    data = Calibration(host="old").to_dict()
+    isolated_calibration.write_text(json.dumps({**data, "version": 2}))
+    clear_calibration_cache()
+    assert default_calibration() is None
+
+
 def test_calibration_rejects_future_format():
     with pytest.raises(ValueError):
         Calibration.from_dict({"version": 99, "kernels": {}})
@@ -170,7 +179,7 @@ def test_run_calibration_end_to_end(isolated_calibration):
     assert "getrf" in cal.kernels
     # Persisted and picked up lazily.
     on_disk = json.loads(isolated_calibration.read_text())
-    assert on_disk["version"] == 2
+    assert on_disk["version"] == 3
     reloaded = default_calibration()
     assert reloaded is not None and reloaded.n_samples == cal.n_samples
 

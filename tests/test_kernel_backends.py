@@ -3,7 +3,7 @@
 Covers the registry plumbing (unknown names list the available backends,
 ``resolve_backend`` shares singletons), the numerical contract (the
 ``numpy`` backend is bit-identical to the sequential reference on every
-executor; ``fused``/``jit`` meet backward-error tolerance on the
+executor; ``fused`` meets backward-error tolerance on the
 adversarial Table III matrices for all five solvers), the fused-task
 bookkeeping (``fused`` counts flow into traces and are normalized by
 ``collect_samples``), the per-backend calibration format, autotuned
@@ -21,10 +21,8 @@ from repro.api.facade import SolverSpec, make_kernel_backend, make_solver
 from repro.api.registry import KERNEL_BACKENDS, SOLVERS
 from repro.kernels.backends import (
     FusedBackend,
-    JitBackend,
     KernelBackend,
     NumpyBackend,
-    numba_available,
     resolve_backend,
 )
 from repro.matrices import registry as matrix_registry
@@ -38,7 +36,6 @@ from repro.perf.calibrate import (
 )
 from repro.runtime.executor import ExecutionTrace, ThreadedExecutor
 from repro.runtime.process_executor import ProcessExecutor
-from repro.stability.metrics import normwise_backward_error
 
 ALGORITHMS = ["hybrid", "lupp", "lu_nopiv", "lu_incpiv", "hqr"]
 
@@ -67,7 +64,7 @@ def _system(n=64, dtype=np.float64, seed=0):
 # Registry and resolution
 # --------------------------------------------------------------------------- #
 def test_unknown_backend_lists_available_options():
-    with pytest.raises(ValueError, match="available:.*fused.*jit.*numpy"):
+    with pytest.raises(ValueError, match="available:.*fused.*numpy"):
         KERNEL_BACKENDS.get("nope")
     with pytest.raises(ValueError, match="available:"):
         resolve_backend("nope")
@@ -75,12 +72,11 @@ def test_unknown_backend_lists_available_options():
 
 def test_builtin_backends_are_registered():
     assert isinstance(KERNEL_BACKENDS.get("numpy"), type)
-    for name, cls in [("numpy", NumpyBackend), ("fused", FusedBackend), ("jit", JitBackend)]:
+    for name, cls in [("numpy", NumpyBackend), ("fused", FusedBackend)]:
         assert KERNEL_BACKENDS.get(name) is cls
     # Aliases resolve to the same classes.
     assert KERNEL_BACKENDS.get("reference") is NumpyBackend
     assert KERNEL_BACKENDS.get("batched") is FusedBackend
-    assert KERNEL_BACKENDS.get("numba") is JitBackend
 
 
 def test_auto_is_reserved_for_the_facade():
@@ -94,40 +90,13 @@ def test_resolve_backend_shares_singletons():
     assert resolve_backend(None).name == "numpy"
     instance = FusedBackend()
     assert resolve_backend(instance) is instance
-    assert make_kernel_backend("jit").name == "jit"
+    assert make_kernel_backend("fused").name == "fused"
 
 
 def test_backend_flags():
     assert not resolve_backend("numpy").fuses
     assert resolve_backend("fused").fuses
-    assert resolve_backend("jit").fuses
-    # warm() never raises, compiled or not.
-    resolve_backend("jit").warm(8, np.float64)
-    KernelBackend().warm(8)
-
-
-def test_jit_backend_degrades_without_numba():
-    backend = JitBackend()
-    if not numba_available():
-        assert not backend.jit_active
-    # Either way the fused implementations must work.
-    solver = SOLVERS.get("lupp")(tile_size=8, kernel_backend=backend)
-    a, b = _system(32)
-    ref = SOLVERS.get("lupp")(tile_size=8).solve(a, b)
-    assert np.allclose(solver.solve(a, b).x, ref.x)
-
-
-def test_jit_backend_compiles_with_numba():
-    pytest.importorskip("numba")
-    backend = JitBackend()
-    assert backend.jit_active
-    backend.warm(8, np.float64)
-    a, b = _system(48)
-    ref = SOLVERS.get("lupp")(tile_size=8).solve(a, b)
-    res = SOLVERS.get("lupp")(tile_size=8, kernel_backend=backend).solve(a, b)
-    assert normwise_backward_error(a, res.x, b) <= max(
-        10.0 * normwise_backward_error(a, ref.x, b), 1e-12
-    )
+    assert not KernelBackend().fuses
 
 
 # --------------------------------------------------------------------------- #
@@ -144,7 +113,7 @@ def test_numpy_backend_bit_identical_across_executors(algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("backend", ["fused", "jit"])
+@pytest.mark.parametrize("backend", ["fused"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("matrix", SPECIAL_MATRICES)
 def test_fused_backends_meet_backward_error_tolerance(
@@ -200,7 +169,7 @@ def test_fused_tasks_carry_batch_counts():
     a, _ = _system(64, seed=7)
     tiles = TileMatrix.from_dense(a + 4.0 * np.eye(64), 16)
     dist = BlockCyclicDistribution(ProcessGrid(1, 1), tiles.n)
-    analysis = analyze_panel(tiles, dist, 0, domain_pivoting=True, recursive_panel=True)
+    analysis = analyze_panel(tiles, dist, 0, domain_pivoting=True)
     record = StepRecord(k=0, kind="LU")
 
     per_tile = lu_step_tasks(tiles, 0, analysis, StepRecord(k=0, kind="LU"))
@@ -252,7 +221,7 @@ def test_run_calibration_keeps_per_backend_tables(isolated_calibration):
     assert "gemm" in cal.backends["fused"]
     assert set(cal.calibrated_backends()) == {"numpy", "fused"}
     on_disk = json.loads(isolated_calibration.read_text())
-    assert on_disk["version"] == 2
+    assert on_disk["version"] == 3
     assert "fused" in on_disk["backends"]
     reloaded = Calibration.load(isolated_calibration)
     assert reloaded.n_samples == cal.n_samples
@@ -271,16 +240,14 @@ def test_calibration_view_prefers_backend_table():
     assert cal.view(None) is cal
 
 
-def test_calibration_v1_files_still_load():
+def test_calibration_rejects_pre_lapack_formats():
     cal = Calibration()
     cal.add_samples({("gemm", 16): [1.0]})
     data = cal.to_dict()
-    data["version"] = 1
-    del data["backends"]
-    loaded = Calibration.from_dict(data)
-    assert loaded.kernel_duration("gemm", 16) == 1.0
-    with pytest.raises(ValueError):
-        Calibration.from_dict({"version": 99, "kernels": {}})
+    assert Calibration.from_dict(data).kernel_duration("gemm", 16) == 1.0
+    for version in (1, 2, 99):
+        with pytest.raises(ValueError):
+            Calibration.from_dict({**data, "version": version})
 
 
 def _synthetic_calibration(gemm_numpy: float, gemm_fused: float) -> Calibration:

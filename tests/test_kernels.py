@@ -26,7 +26,11 @@ from repro.kernels import (
     unmqr,
     update_gemm,
 )
-from repro.linalg import build_q
+from repro.core.panel_analysis import analyze_panel
+from repro.kernels.qr_kernels import qr_factor_nbytes
+from repro.tiles import BlockCyclicDistribution, ProcessGrid, TileMatrix
+
+from householder import apply_q_transpose, geqrt
 
 
 # --------------------------------------------------------------------------- #
@@ -54,12 +58,16 @@ class TestLUKernels:
         pw = apply_row_pivots(stacked.copy(), f.piv)
         np.testing.assert_allclose(lfull @ f.u, pw, atol=1e-11)
 
-    def test_factor_panel_recursive_equals_plain(self, rng):
-        stacked = rng.standard_normal((32, 8))
-        f1 = factor_panel_lu(stacked, 8, recursive=True)
-        f2 = factor_panel_lu(stacked, 8, recursive=False)
-        np.testing.assert_allclose(f1.lu, f2.lu, atol=1e-10)
-        np.testing.assert_array_equal(f1.piv, f2.piv)
+    def test_singular_domain_is_reported_not_raised(self, rng):
+        """analyze_panel turns the breakdown into a singular analysis, which
+        is what sends the hybrid solver to a QR step."""
+        a = rng.standard_normal((32, 32))
+        a[:, 0] = 0.0
+        tiles = TileMatrix.from_dense(a, 8)
+        dist = BlockCyclicDistribution(ProcessGrid(1, 1), tiles.n)
+        analysis = analyze_panel(tiles, dist, 0)
+        assert analysis.singular
+        assert analysis.info.diag_inv_norm_inv == 0.0
 
     def test_factor_panel_wrong_width(self, rng):
         with pytest.raises(ValueError):
@@ -114,28 +122,52 @@ class TestLUKernels:
 # --------------------------------------------------------------------------- #
 # QR kernels
 # --------------------------------------------------------------------------- #
+def _qt_geqrt(f):
+    """Explicit ``Q^T`` of a GEQRT factor: UNMQR applied to the identity."""
+    return unmqr(f, np.eye(f.nb))
+
+
+def _qt_coupled(f):
+    """Explicit ``Q^T`` of a TSQRT/TTQRT factor: TSMQR applied to identity blocks."""
+    eye = np.eye(2 * f.nb)
+    top, bottom = tsmqr(f, eye[: f.nb], eye[f.nb :])
+    return np.vstack([top, bottom])
+
+
+def _assert_same_r(r, r_ref, atol):
+    """Triangular factors agree up to the sign of each row."""
+    np.testing.assert_allclose(np.abs(r), np.abs(r_ref), atol=atol)
+
+
 class TestQRKernels:
     def test_geqrt_tile(self, rng):
         a = rng.standard_normal((8, 8))
         f = geqrt_tile(a)
-        q = build_q(f.v, f.t)
+        q = _qt_geqrt(f).T
+        np.testing.assert_allclose(q.T @ q, np.eye(8), atol=1e-10)
         np.testing.assert_allclose(q @ f.r, a, atol=1e-10)
+        np.testing.assert_array_equal(np.tril(f.r, -1), 0.0)
 
     def test_unmqr_applies_qt(self, rng):
         a = rng.standard_normal((6, 6))
         c = rng.standard_normal((6, 4))
         f = geqrt_tile(a)
-        q = build_q(f.v, f.t)
-        np.testing.assert_allclose(unmqr(f, c), q.T @ c, atol=1e-10)
+        np.testing.assert_allclose(unmqr(f, c), _qt_geqrt(f) @ c, atol=1e-10)
+        # Same reflector sign convention as the numpy oracle, so Q^T agrees.
+        v, t, r = geqrt(a)
+        np.testing.assert_allclose(unmqr(f, c), apply_q_transpose(v, t, c), atol=1e-10)
+        np.testing.assert_allclose(f.r, r, atol=1e-10)
 
     def test_tsqrt_kills_bottom_tile(self, rng):
         nb = 6
         r_top = np.triu(rng.standard_normal((nb, nb)))
         a_bot = rng.standard_normal((nb, nb))
         f = tsqrt(r_top, a_bot)
+        assert f.l == 0
         # R is upper triangular and the transformation reconstructs the stack.
         np.testing.assert_allclose(np.tril(f.r, -1), 0.0, atol=1e-12)
-        q = build_q(f.v, f.t)
+        q = _qt_coupled(f).T
+        np.testing.assert_allclose(q.T @ q, np.eye(2 * nb), atol=1e-10)
         stacked = np.vstack([r_top, a_bot])
         np.testing.assert_allclose(q @ np.vstack([f.r, np.zeros((nb, nb))]), stacked, atol=1e-10)
 
@@ -147,16 +179,20 @@ class TestQRKernels:
         c_top = rng.standard_normal((nb, 3))
         c_bot = rng.standard_normal((nb, 3))
         top, bot = tsmqr(f, c_top, c_bot)
-        q = build_q(f.v, f.t)
-        expected = q.T @ np.vstack([c_top, c_bot])
-        np.testing.assert_allclose(np.vstack([top, bot]), expected, atol=1e-10)
+        c = np.vstack([c_top, c_bot])
+        np.testing.assert_allclose(np.vstack([top, bot]), _qt_coupled(f) @ c, atol=1e-10)
+        v, t, _ = geqrt(np.vstack([r_top, a_bot]))
+        np.testing.assert_allclose(np.vstack([top, bot]), apply_q_transpose(v, t, c), atol=1e-10)
 
     def test_ttqrt_and_ttmqr(self, rng):
         nb = 4
         r1 = np.triu(rng.standard_normal((nb, nb)))
         r2 = np.triu(rng.standard_normal((nb, nb)))
         f = ttqrt(r1, r2)
-        q = build_q(f.v, f.t)
+        assert f.l == nb
+        np.testing.assert_array_equal(np.tril(f.v, -1), 0.0)  # V2 is triangular
+        q = _qt_coupled(f).T
+        np.testing.assert_allclose(q.T @ q, np.eye(2 * nb), atol=1e-10)
         stacked = np.vstack([r1, r2])
         np.testing.assert_allclose(q @ np.vstack([f.r, np.zeros((nb, nb))]), stacked, atol=1e-10)
         c1, c2 = rng.standard_normal((nb, 2)), rng.standard_normal((nb, 2))
@@ -172,6 +208,74 @@ class TestQRKernels:
         before = np.linalg.norm(np.vstack([r_top, a_bot]))
         after = np.linalg.norm(f.r)
         assert after == pytest.approx(before, rel=1e-10)
+
+    # ------------------------------------------------------------------ #
+    # Edge cases, checked against numpy.linalg.qr
+    # ------------------------------------------------------------------ #
+    def test_zero_tile_gives_identity_reflectors(self, rng):
+        nb = 5
+        f = geqrt_tile(np.zeros((nb, nb)))
+        np.testing.assert_array_equal(f.r, 0.0)
+        np.testing.assert_array_equal(np.diag(f.t), 0.0)  # tau = 0 everywhere
+        c = rng.standard_normal((nb, 3))
+        np.testing.assert_array_equal(unmqr(f, c), c)
+        # Killing a zero tile leaves the eliminator untouched.
+        r_top = np.triu(rng.standard_normal((nb, nb)))
+        g = tsqrt(r_top, np.zeros((nb, nb)))
+        np.testing.assert_array_equal(g.r, r_top)
+        top, bot = tsmqr(g, c, c)
+        np.testing.assert_array_equal(top, c)
+        np.testing.assert_array_equal(bot, c)
+
+    def test_order_one_tiles(self):
+        a, b = np.array([[3.0]]), np.array([[-4.0]])
+        assert abs(geqrt_tile(a).r[0, 0]) == pytest.approx(3.0)
+        for couple in (tsqrt, ttqrt):
+            f = couple(a, b)
+            _assert_same_r(f.r, np.linalg.qr(np.vstack([a, b]), mode="r"), 1e-14)
+            q = _qt_coupled(f).T
+            np.testing.assert_allclose(q @ np.vstack([f.r, [[0.0]]]), [[3.0], [-4.0]], atol=1e-14)
+
+    def test_rank_deficient_tile(self, rng):
+        nb = 6
+        a = np.outer(rng.standard_normal(nb), rng.standard_normal(nb))  # rank one
+        f = geqrt_tile(a)
+        q = _qt_geqrt(f).T
+        np.testing.assert_allclose(q.T @ q, np.eye(nb), atol=1e-10)
+        np.testing.assert_allclose(q @ f.r, a, atol=1e-10)
+        _assert_same_r(f.r, np.linalg.qr(a, mode="r"), 1e-10)
+
+    def test_tt_matches_numpy_on_triangular_inputs(self, rng):
+        nb = 7
+        r1 = np.triu(rng.standard_normal((nb, nb)))
+        r2 = np.triu(rng.standard_normal((nb, nb)))
+        f = ttqrt(r1, r2)
+        _assert_same_r(f.r, np.linalg.qr(np.vstack([r1, r2]), mode="r"), 1e-10)
+        # TT and TS kernels agree on triangular input (TT only skips zeros).
+        g = tsqrt(r1, r2)
+        np.testing.assert_allclose(f.r, g.r, atol=1e-10)
+        c1, c2 = rng.standard_normal((nb, 3)), rng.standard_normal((nb, 3))
+        for x, y in zip(ttmqr(f, c1, c2), tsmqr(g, c1, c2)):
+            np.testing.assert_allclose(x, y, atol=1e-10)
+
+    def test_float32_in_float32_out(self, rng):
+        nb = 8
+        a = rng.standard_normal((nb, nb)).astype(np.float32)
+        b = rng.standard_normal((nb, nb)).astype(np.float32)
+        c = rng.standard_normal((nb, 3)).astype(np.float32)
+        f = geqrt_tile(a)
+        g = tsqrt(f.r, b)
+        h = ttqrt(f.r, np.triu(b))
+        outs = [f.v, f.t, f.r, unmqr(f, c), g.v, g.t, g.r, h.r, *tsmqr(g, c, c), *ttmqr(h, c, c)]
+        assert all(x.dtype == np.float32 for x in outs)
+        _assert_same_r(f.r, np.linalg.qr(a.astype(np.float64), mode="r"), 1e-4)
+        _assert_same_r(g.r, np.linalg.qr(np.vstack([f.r, b]).astype(np.float64), mode="r"), 1e-4)
+
+    def test_factor_nbytes_matches_certificate(self, rng):
+        for nb in (1, 4, 48):
+            a = rng.standard_normal((nb, nb))
+            for f in (geqrt_tile(a), tsqrt(np.triu(a), a), ttqrt(np.triu(a), a)):
+                assert f.v.nbytes + f.t.nbytes + f.r.nbytes == qr_factor_nbytes(nb, 8)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,11 +1,11 @@
-"""Tests for the compact-WY Householder substrate."""
+"""Tests for the compact-WY Householder oracle used by the QR kernel tests."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linalg import apply_q, apply_q_transpose, build_q, geqrt, house, larft
+from householder import apply_q, apply_q_transpose, build_q, geqrt, house, larft
 
 
 class TestHouse:

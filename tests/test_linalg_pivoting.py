@@ -12,7 +12,6 @@ from repro.linalg import (
     getrf,
     getrf_nopiv,
     pivots_to_permutation,
-    recursive_getrf,
     tiled_back_substitution,
     trsm_lower_left_unit,
     trsm_upper_left,
@@ -93,28 +92,28 @@ class TestGetrfNoPiv:
             getrf_nopiv(rng.standard_normal((4, 3)))
 
 
-class TestRecursiveGetrf:
-    def test_matches_right_looking(self, rng):
-        a = rng.standard_normal((24, 12))
-        lu_r, piv_r = recursive_getrf(a, threshold=4)
-        lu_p, piv_p = getrf(a)
-        np.testing.assert_allclose(lu_r, lu_p, atol=1e-10)
-        np.testing.assert_array_equal(piv_r, piv_p)
-
-    def test_reconstruction(self, rng):
-        a = rng.standard_normal((30, 10))
-        lu, piv = recursive_getrf(a, threshold=3)
-        np.testing.assert_allclose(reconstruct_from_lu(lu, piv), a, atol=1e-11)
-
+class TestGetrfLapack:
     @given(m_extra=st.integers(0, 12), k=st.integers(1, 10), seed=st.integers(0, 500))
     @settings(max_examples=40, deadline=None)
-    def test_property_recursive_equals_plain(self, m_extra, k, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((k + m_extra, k))
-        lu_r, piv_r = recursive_getrf(a, threshold=2)
-        lu_p, piv_p = getrf(a)
-        np.testing.assert_allclose(lu_r, lu_p, atol=1e-9)
-        np.testing.assert_array_equal(piv_r, piv_p)
+    def test_property_matches_lapack_lu_factor(self, m_extra, k, seed):
+        a = np.random.default_rng(seed).standard_normal((k + m_extra, k))
+        lu, piv = getrf(a)
+        np.testing.assert_allclose(reconstruct_from_lu(lu, piv), a, atol=1e-9)
+        if m_extra == 0:
+            lu_sp, piv_sp = sla.lu_factor(a)
+            np.testing.assert_array_equal(lu, lu_sp)
+            np.testing.assert_array_equal(piv, piv_sp)
+
+    def test_singular_reports_first_zero_pivot_column(self, rng):
+        a = rng.standard_normal((12, 6))
+        a[:, 4] = 0.0
+        with pytest.raises(SingularPanelError, match="column 4"):
+            getrf(a)
+
+    def test_float32_stays_float32(self, rng):
+        lu, piv = getrf(rng.standard_normal((8, 4)).astype(np.float32))
+        assert lu.dtype == np.float32
+        assert piv.dtype == np.int64
 
 
 class TestPivotHelpers:

@@ -62,7 +62,7 @@ class TestCleanMatrix:
         assert report.resources["memory[executed]"]["peak_bytes"] > 0
         assert "placement[plan]" in report.resources
 
-    @pytest.mark.parametrize("backend", [None, "fused", "jit"])
+    @pytest.mark.parametrize("backend", [None, "fused"])
     @pytest.mark.parametrize("grid", ["2x2", "4x1"])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_audit_clean_backends(self, algorithm, backend, grid):

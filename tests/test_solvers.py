@@ -236,6 +236,24 @@ class TestBreakdowns:
         with pytest.raises(RuntimeError):
             fact.solve()
 
+    def test_hybrid_falls_back_to_qr_on_exactly_singular_panel(self):
+        # Same matrix: the diagonal tile is exactly singular, so the panel
+        # LU raises SingularPanelError inside the analysis and the hybrid
+        # solver must take a QR step even under a criterion that accepts
+        # every LU step.
+        n = 4 * NB
+        a = np.eye(n)
+        a[:NB, :NB] = 0.0
+        a[:NB, NB : 2 * NB] = np.eye(NB)
+        a[NB : 2 * NB, :NB] = np.eye(NB)
+        b = np.arange(1.0, n + 1.0)
+        solver = HybridLUQRSolver(
+            NB, MaxCriterion(float("inf")), grid=ProcessGrid(1, 1), domain_pivoting=False
+        )
+        fact = solver.factor(a, b)
+        assert fact.steps[0].kind == "QR"
+        np.testing.assert_allclose(a @ fact.solve()[:n], b, atol=1e-10)
+
     def test_solve_raises_on_breakdown(self):
         n = 4 * NB
         a = np.eye(n)
