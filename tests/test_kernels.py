@@ -27,7 +27,7 @@ from repro.kernels import (
     update_gemm,
 )
 from repro.core.panel_analysis import analyze_panel
-from repro.kernels.qr_kernels import qr_factor_nbytes
+from repro.kernels.qr_kernels import INNER_BLOCK, qr_factor_nbytes
 from repro.tiles import BlockCyclicDistribution, ProcessGrid, TileMatrix
 
 from householder import apply_q_transpose, geqrt
@@ -276,6 +276,84 @@ class TestQRKernels:
             a = rng.standard_normal((nb, nb))
             for f in (geqrt_tile(a), tsqrt(np.triu(a), a), ttqrt(np.triu(a), a)):
                 assert f.v.nbytes + f.t.nbytes + f.r.nbytes == qr_factor_nbytes(nb, 8)
+
+
+# Tile orders around the inner blocking: one partial block, exactly one block,
+# and several blocks (the last one partial) in the ``ib x nb`` T factors.
+_QR_ORDERS = [1, 2, 3, 8, 31, INNER_BLOCK, INNER_BLOCK + 1, 40, 2 * INNER_BLOCK, 2 * INNER_BLOCK + 1]
+_TOL = {np.float64: 1e-10, np.float32: 1e-4}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("nb", _QR_ORDERS)
+class TestQRKernelsAcrossOrders:
+    """The QR identities for every tile order, across the inner-block boundary."""
+
+    def _tol(self, dtype, nb):
+        return _TOL[dtype] * max(1, nb)
+
+    def test_geqrt_unmqr(self, rng, nb, dtype):
+        a = rng.standard_normal((nb, nb)).astype(dtype)
+        c = rng.standard_normal((nb, 5)).astype(dtype)
+        f = geqrt_tile(a)
+        assert f.t.shape == (min(nb, INNER_BLOCK), nb)
+        qt = _qt_geqrt(f).astype(np.float64)
+        tol = self._tol(dtype, nb)
+        np.testing.assert_allclose(qt @ qt.T, np.eye(nb), atol=tol)
+        np.testing.assert_allclose(qt.T @ f.r, a, atol=tol)
+        np.testing.assert_allclose(unmqr(f, c), qt @ c, atol=tol)
+        assert unmqr(f, c).dtype == dtype
+        if dtype == np.float64:
+            v, t, r = geqrt(a)
+            np.testing.assert_allclose(f.r, r, atol=tol)
+            np.testing.assert_allclose(unmqr(f, c), apply_q_transpose(v, t, c), atol=tol)
+
+    @pytest.mark.parametrize("couple, update", [(tsqrt, tsmqr), (ttqrt, ttmqr)], ids=["ts", "tt"])
+    def test_coupled_elimination(self, rng, nb, dtype, couple, update):
+        r_top = np.triu(rng.standard_normal((nb, nb))).astype(dtype)
+        bottom = rng.standard_normal((nb, nb)).astype(dtype)
+        if couple is ttqrt:
+            bottom = np.triu(bottom)
+        f = couple(r_top, bottom)
+        assert f.l == (nb if couple is ttqrt else 0)
+        np.testing.assert_array_equal(np.tril(f.r, -1), 0.0)
+        qt = _qt_coupled(f).astype(np.float64)
+        tol = self._tol(dtype, nb)
+        stacked = np.vstack([r_top, bottom])
+        np.testing.assert_allclose(qt @ qt.T, np.eye(2 * nb), atol=tol)
+        np.testing.assert_allclose(
+            qt.T @ np.vstack([f.r, np.zeros((nb, nb))]), stacked, atol=tol
+        )
+        c_top = rng.standard_normal((nb, 4)).astype(dtype)
+        c_bot = rng.standard_normal((nb, 4)).astype(dtype)
+        top, bot = update(f, c_top, c_bot)
+        assert top.dtype == bot.dtype == dtype
+        np.testing.assert_allclose(
+            np.vstack([top, bot]), qt @ np.vstack([c_top, c_bot]), atol=tol
+        )
+        if dtype == np.float64:
+            v, t, _ = geqrt(stacked)
+            np.testing.assert_allclose(
+                np.vstack([top, bot]),
+                apply_q_transpose(v, t, np.vstack([c_top, c_bot])),
+                atol=tol,
+            )
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("nb, tiles", [(1, 3), (8, 1), (8, 4), (33, 2)])
+def test_factor_panel_lu_across_shapes(rng, nb, tiles, dtype):
+    """``P W = L U`` with ``|L| <= 1`` on stacked domains of every shape."""
+    stacked = rng.standard_normal((tiles * nb, nb)).astype(dtype)
+    f = factor_panel_lu(stacked, nb)
+    assert f.lu.dtype == dtype
+    lfull = np.tril(f.lu, -1).astype(np.float64)
+    lfull[np.arange(nb), np.arange(nb)] = 1.0
+    assert np.abs(lfull).max() <= 1.0
+    from repro.linalg import apply_row_pivots
+
+    pw = apply_row_pivots(stacked.astype(np.float64), f.piv)
+    np.testing.assert_allclose(lfull @ f.u, pw, atol=_TOL[dtype] * max(1, nb))
 
 
 # --------------------------------------------------------------------------- #
